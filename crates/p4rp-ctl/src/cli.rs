@@ -7,8 +7,8 @@
 //! ```text
 //! deploy <inline source…>      link a program (source until end of line;
 //!                              use \n escapes or `deploy-file` in shells)
-//! deploy-many <file…>          link many source files through one
-//!                              concurrent compilation context
+//! deploy-many <file…>          link many source files in order
+//!                              (vectored batches)
 //! revoke <name>                unlink a program
 //! revoke-many <name…>          unlink many programs (vectored batches)
 //! update <name> <source…>      incremental update: revoke + redeploy
@@ -140,9 +140,8 @@ impl Cli {
             .join("\n"))
     }
 
-    /// `deploy-many <file...>`: read each file, compile them all through
-    /// one concurrent compilation context, and report one line per
-    /// program plus a conflict summary.
+    /// `deploy-many <file...>`: read each file and deploy them in order,
+    /// one vectored batch per program, reporting one line per program.
     fn deploy_many(&mut self, rest: &str) -> String {
         let paths: Vec<&str> = rest.split_whitespace().collect();
         if paths.is_empty() {
@@ -155,7 +154,6 @@ impl Cli {
                 Err(e) => return format!("error reading {p}: {e}"),
             }
         }
-        let conflicts_before = self.ctl.spec_conflicts();
         let results = self.ctl.deploy_many(&sources);
         let mut out = Vec::new();
         for (p, result) in paths.iter().zip(results) {
@@ -177,10 +175,6 @@ impl Cli {
                 Err(e) => out.push(format!("error in {p}: {e}")),
             }
         }
-        out.push(format!(
-            "{} speculative conflict(s) re-allocated",
-            self.ctl.spec_conflicts() - conflicts_before
-        ));
         out.join("\n")
     }
 
@@ -964,7 +958,6 @@ mod tests {
         for i in 0..4 {
             assert!(out.contains(&format!("linked `p{i}`")), "{out}");
         }
-        assert!(out.contains("speculative conflict(s) re-allocated"), "{out}");
         assert_eq!(cli.ctl.deployed_programs().count(), 4);
         let out = cli.exec("revoke-many p0 p1 p2 p3 ghost");
         for i in 0..4 {

@@ -15,12 +15,12 @@ use crate::telemetry::{
     FaultStats, LifecycleSpan, ParallelStats, ProgramUsage, ResourceGauges, SeriesRing,
     ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION,
 };
-use p4rp_compiler::alloc::{allocate, AllocConfig, AllocView, Allocation};
-use p4rp_compiler::consistency::{plan_install, plan_remove, InstalledHandles};
+use p4rp_compiler::alloc::{allocate, AllocConfig, Allocation};
+use p4rp_compiler::consistency::{plan_install, plan_remove, Batch, InstalledHandles};
 use p4rp_compiler::entrygen::{generate_cached, EntryGenCache, ProgramImage};
-use p4rp_compiler::ir::{lower, IrOp, MemDecl, ProgramIr};
+use p4rp_compiler::ir::{lower, MemDecl, ProgramIr};
 use p4rp_compiler::CompileError;
-use p4rp_dataplane::{provision, Dataplane, LogicalRpb, RpbId, NUM_RPBS, RPB_MEM_SIZE};
+use p4rp_dataplane::{provision, Dataplane, RpbId, RPB_MEM_SIZE};
 use p4rp_lang::{check, parse, CheckContext};
 use rmt_sim::clock::Nanos;
 use rmt_sim::control::{BatchOutcome, ControlChannel, LatencyModel};
@@ -145,14 +145,10 @@ pub struct DeployReport {
     pub passes: u8,
 }
 
-/// A program compiled and speculatively allocated but not yet committed
-/// to the data plane. Produced by the parse → check → lower → allocate
-/// front half of `deploy`; consumed by the validate-commit back half.
-///
-/// The allocation inside may have been computed against a *snapshot* of
-/// the resource view (the concurrent `deploy_many` path); `commit` with
-/// `revalidate` re-checks it against the live view and re-runs the
-/// solver if the speculation lost a conflict.
+/// A program compiled and allocated against the live resource view but
+/// not yet committed to the data plane. Produced by the parse → check →
+/// lower → allocate front half of a deploy; consumed by `commit`, which
+/// runs before the next program of the same source is allocated.
 #[derive(Debug, Clone)]
 struct CompiledProgram {
     name: String,
@@ -160,6 +156,20 @@ struct CompiledProgram {
     allocation: Allocation,
     parse_wall: Duration,
     alloc_wall: Duration,
+}
+
+/// What sending one install or remove plan through the channel did.
+struct SentPlan {
+    /// Every op of the plan, in send order.
+    ops: Vec<ControlOp>,
+    /// Results of the applied prefix of `ops`.
+    results: Vec<OpResult>,
+    /// Simulated channel time of every batch sent.
+    cost: Nanos,
+    /// Transient-fault retries taken.
+    retries: u64,
+    /// The fault that stopped sending, if any.
+    error: Option<SimError>,
 }
 
 /// What `revoke` reports.
@@ -237,15 +247,12 @@ pub struct Controller {
     /// data plane, mirrored into the switch's recorder when enabled.
     epoch: u64,
     spans: Vec<LifecycleSpan>,
-    /// Opt-in deploy fast path: vectored (single-batch, marginal-cost)
-    /// channel application and shape-cached entry generation. Off by
-    /// default so the Table 1 / Figure 13 per-op latency reproductions
-    /// keep their calibrated costs.
+    /// Opt-in deploy fast path for `deploy` / `revoke`: vectored
+    /// (single-batch, marginal-cost) channel application. Off by default
+    /// so the Table 1 / Figure 13 per-op latency reproductions keep their
+    /// calibrated costs.
     fast_path: bool,
     entry_cache: EntryGenCache,
-    /// Speculative allocations that failed validation at commit time and
-    /// were re-solved against the live view (`deploy_many` conflicts).
-    spec_conflicts: u64,
     /// Programs whose cleanup double-faulted; disjoint from `programs`.
     wedged: HashMap<String, WedgedProgram>,
     /// Cumulative fault/recovery counters. `faults_injected` only carries
@@ -317,7 +324,6 @@ impl Controller {
             spans: Vec::new(),
             fast_path: false,
             entry_cache: EntryGenCache::default(),
-            spec_conflicts: 0,
             wedged: HashMap::new(),
             fault_stats: FaultStats::default(),
             needs_reconcile: false,
@@ -416,22 +422,16 @@ impl Controller {
         self.alloc_cfg = cfg;
     }
 
-    /// Is the deploy fast path (vectored channel batches, cached entry
-    /// generation) enabled?
+    /// Is the deploy fast path (vectored channel batches) enabled?
     pub fn fast_path(&self) -> bool {
         self.fast_path
     }
 
-    /// Enable / disable the deploy fast path. `deploy_many` always uses
-    /// it regardless of this flag.
+    /// Enable / disable the deploy fast path for `deploy` and `revoke`.
+    /// `deploy_many` and `revoke_many` are always vectored regardless of
+    /// this flag.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
-    }
-
-    /// Speculative allocations that lost a conflict at commit time and
-    /// were re-solved against the live resource view.
-    pub fn spec_conflicts(&self) -> u64 {
-        self.spec_conflicts
     }
 
     /// Entry-generation shape-cache hit/miss counters.
@@ -822,6 +822,39 @@ impl Controller {
         }
     }
 
+    /// Send an install or remove plan through the channel, in plan order.
+    /// The batches to send are the plan's own batches on the calibrated
+    /// path and their concatenation when `vectored`; sending stops at the
+    /// first batch that faults. Because op order is the same in both
+    /// modes, everything the caller derives from an op's index in the
+    /// plan (handle bookkeeping, undo, the ops left to park) is too.
+    fn send_plan(&mut self, plan: Vec<Batch>, vectored: bool) -> SentPlan {
+        let mut ops = Vec::new();
+        let mut ends = Vec::with_capacity(plan.len());
+        for batch in plan {
+            ops.extend(batch.ops);
+            ends.push(ops.len());
+        }
+        if vectored {
+            ends = vec![ops.len()];
+        }
+        let mut results = Vec::with_capacity(ops.len());
+        let (mut cost, mut retries, mut error) = (Nanos::ZERO, 0, None);
+        let mut start = 0;
+        for end in ends {
+            let (out, r) = self.apply_with_retry(&ops[start..end], vectored);
+            retries += r;
+            cost += out.cost;
+            results.extend(out.results);
+            if out.error.is_some() {
+                error = out.error;
+                break;
+            }
+            start = end;
+        }
+        SentPlan { ops, results, cost, retries, error }
+    }
+
     /// Return every resource a program image holds: its memory regions,
     /// entry budgets, init/recirc charges, and its program id.
     fn refund_program(&mut self, image: &ProgramImage) {
@@ -887,8 +920,25 @@ impl Controller {
     ///
     /// Programs are deployed sequentially, best-effort: an error aborts at
     /// the failing program, leaving earlier ones installed (first-come-
-    /// first-serve, §4.3).
+    /// first-serve, §4.3). The channel mode follows
+    /// [`Controller::set_fast_path`].
     pub fn deploy(&mut self, source: &str) -> CtlResult<Vec<DeployReport>> {
+        self.deploy_source(source, self.fast_path)
+    }
+
+    /// Deploy many independent source strings, in input order, each with
+    /// [`Controller::deploy`]'s best-effort semantics but always on the
+    /// vectored channel path: one ordered batch per program.
+    ///
+    /// Returns one result per source, each carrying one report per
+    /// program in that source.
+    pub fn deploy_many(&mut self, sources: &[String]) -> Vec<CtlResult<Vec<DeployReport>>> {
+        sources.iter().map(|s| self.deploy_source(s, true)).collect()
+    }
+
+    /// Parse and check `source`, then lower, allocate against the live
+    /// resource view and commit each of its programs in turn.
+    fn deploy_source(&mut self, source: &str, vectored: bool) -> CtlResult<Vec<DeployReport>> {
         let t0 = Instant::now();
         let unit = parse(source).map_err(CompileError::from)?;
         check(&unit, &self.check_ctx).map_err(CompileError::from)?;
@@ -918,129 +968,18 @@ impl Controller {
                 parse_wall,
                 alloc_wall,
             };
-            let vectored = self.fast_path;
-            reports.push(self.commit(compiled, false, vectored)?);
+            reports.push(self.commit(compiled, vectored)?);
         }
         Ok(reports)
     }
 
-    /// Deploy many independent source strings concurrently.
-    ///
-    /// The compile front half (parse, check, lower, allocate) of every
-    /// source runs on worker threads against a *snapshot* of the resource
-    /// view taken at entry; commits stay serialized on the control
-    /// channel, in input order, so §4.3's first-come-first-serve
-    /// semantics hold by index. Each commit revalidates its speculative
-    /// allocation against the live view and re-runs the solver if an
-    /// earlier commit took the resources it was counting on
-    /// ([`Controller::spec_conflicts`] counts the losers). A speculation
-    /// that found *no* placement is reported as failure directly:
-    /// resources only shrink while the batch commits, and feasibility is
-    /// monotone in resources.
-    ///
-    /// Returns one result per source, each carrying one report per
-    /// program in that source. Always uses the vectored channel path.
-    pub fn deploy_many(&mut self, sources: &[String]) -> Vec<CtlResult<Vec<DeployReport>>> {
-        let n = sources.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let snapshot = self.resman.alloc_view().clone();
-        let cfg = self.alloc_cfg;
-        let ctx = &self.check_ctx;
-        // At least two workers even on a single-core host: the pipeline's
-        // cross-thread handoff should be exercised wherever it runs, and
-        // the interleaving overhead is noise next to a solver call.
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(2, 8)
-            .min(n);
-        let mut compiled: Vec<Option<CtlResult<Vec<CompiledProgram>>>> =
-            (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            // The vendored channel is single-consumer, so work is handed
-            // out by striding indices rather than through a shared queue.
-            let (tx, rx) = crossbeam::channel::unbounded();
-            for w in 0..workers {
-                let tx = tx.clone();
-                let snapshot = &snapshot;
-                s.spawn(move || {
-                    let mut i = w;
-                    while i < n {
-                        let r = compile_source(&sources[i], ctx, snapshot, &cfg);
-                        let _ = tx.send((i, r));
-                        i += workers;
-                    }
-                });
-            }
-            drop(tx);
-            for (i, r) in rx.iter() {
-                compiled[i] = Some(r);
-            }
-        });
-        compiled
-            .into_iter()
-            .map(|r| {
-                let cs = r.expect("every index was compiled")?;
-                let mut reps = Vec::with_capacity(cs.len());
-                for c in cs {
-                    reps.push(self.commit(c, true, true)?);
-                }
-                Ok(reps)
-            })
-            .collect()
-    }
-
-    /// Does a speculative allocation still fit the live resource view?
-    /// Mirrors what `commit` is about to do: cumulative entry needs per
-    /// physical RPB, and first-fit placement of every virtual memory in
-    /// the RPB the solver chose for it.
-    fn validates(&self, c: &CompiledProgram) -> bool {
-        let view = self.resman.alloc_view();
-        let mut need = [0usize; NUM_RPBS];
-        for (slot, level) in c.ir.levels.iter().enumerate() {
-            let n = level.iter().filter(|p| p.op != IrOp::Nop).count();
-            let idx = usize::from(LogicalRpb::from_index(c.allocation.x[slot]).rpb().0) - 1;
-            need[idx] += n;
-        }
-        if need.iter().zip(&view.te_free).any(|(n, f)| n > f) {
-            return false;
-        }
-        let mut free: HashMap<usize, Vec<u32>> = HashMap::new();
-        for m in &c.ir.memories {
-            let idx = usize::from(c.allocation.mem_rpb[&m.name].0) - 1;
-            let parts = free.entry(idx).or_insert_with(|| view.mem_free[idx].clone());
-            match parts.iter().position(|&p| p >= m.size) {
-                Some(pi) => parts[pi] -= m.size,
-                None => return false,
-            }
-        }
-        true
-    }
-
     /// Commit a compiled program to the data plane: grant memory, generate
     /// entries (through the shape cache), charge budgets, and install via
-    /// the Figure 6 consistent batch order. With `revalidate`, first check
-    /// the (possibly stale) speculative allocation against the live view
-    /// and re-run the solver on conflict. With `vectored`, the install
-    /// goes out as one ordered batch at marginal per-op cost.
-    fn commit(
-        &mut self,
-        mut c: CompiledProgram,
-        revalidate: bool,
-        vectored: bool,
-    ) -> CtlResult<DeployReport> {
-        if self.programs.contains_key(&c.name) || self.wedged.contains_key(&c.name) {
-            return Err(CtlError::DuplicateProgram(c.name.clone()));
-        }
-        if revalidate && !self.validates(&c) {
-            self.spec_conflicts += 1;
-            let t = Instant::now();
-            c.allocation = allocate(&c.ir, self.resman.alloc_view(), &self.alloc_cfg)?;
-            c.alloc_wall += t.elapsed();
-        }
-
+    /// the Figure 6 consistent batch order, body entries first and filters
+    /// last. Calibrated, the body and the filters go out as two batches at
+    /// per-entry cost; `vectored`, as one ordered batch at marginal per-op
+    /// cost.
+    fn commit(&mut self, c: CompiledProgram, vectored: bool) -> CtlResult<DeployReport> {
         // Grant physical memory where the solver placed each vmem.
         let mut offsets: HashMap<String, (RpbId, u32)> = HashMap::new();
         let mut granted: Vec<(RpbId, u32, u32)> = Vec::new();
@@ -1113,63 +1052,26 @@ impl Controller {
         let memory_claimed: u64 = c.ir.memories.iter().map(|m| u64::from(m.size)).sum();
         let faults_before = self.faults_fired_total();
         let epoch = self.bump_epoch();
-        let mut batches = plan_install(&image, &self.dp, self.switch.field_table())?;
+        let plan = plan_install(&image, &self.dp, self.switch.field_table())?;
+        let boundary = plan[0].ops.len();
         let t_chan = Instant::now();
-        let mut update_delay = Nanos::ZERO;
-        let mut entries_written = 0u64;
-        let mut retries_total = 0u64;
-        let mut fault: Option<SimError> = None;
+        let sent = self.send_plan(plan, vectored);
         let mut handles = InstalledHandles {
             mem_regions: image.mem_regions.clone(),
             ..Default::default()
         };
-        if vectored {
-            // One ordered batch: body entries first, filter last, so the
-            // activation still flips strictly after every component is in
-            // place, at marginal per-op cost.
-            let filters = batches.pop().expect("plan_install returns two batches");
-            let body = batches.pop().expect("plan_install returns two batches");
-            let boundary = body.ops.len();
-            let mut ops = body.ops;
-            ops.extend(filters.ops);
-            let (out, retries) = self.apply_with_retry(&ops, true);
-            retries_total += retries;
-            update_delay += out.cost;
-            for (k, (op, res)) in ops.iter().zip(&out.results).enumerate() {
-                if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
-                    entries_written += 1;
-                    let rec: &mut Vec<(TableRef, _)> = if k < boundary {
-                        &mut handles.body_handles
-                    } else {
-                        &mut handles.filter_handles
-                    };
-                    rec.push((*table, *h));
-                }
-            }
-            fault = out.error;
-        } else {
-            for (bi, batch) in batches.iter().enumerate() {
-                let (out, retries) = self.apply_with_retry(&batch.ops, false);
-                retries_total += retries;
-                update_delay += out.cost;
-                for (op, res) in batch.ops.iter().zip(&out.results) {
-                    if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res)
-                    {
-                        entries_written += 1;
-                        let rec: &mut Vec<(TableRef, _)> = if bi == 0 {
-                            &mut handles.body_handles
-                        } else {
-                            &mut handles.filter_handles
-                        };
-                        rec.push((*table, *h));
-                    }
-                }
-                if out.error.is_some() {
-                    fault = out.error;
-                    break;
-                }
+        for (k, (op, res)) in sent.ops.iter().zip(&sent.results).enumerate() {
+            if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
+                let rec = if k < boundary {
+                    &mut handles.body_handles
+                } else {
+                    &mut handles.filter_handles
+                };
+                rec.push((*table, *h));
             }
         }
+        let entries_written = (handles.body_handles.len() + handles.filter_handles.len()) as u64;
+        let (update_delay, retries_total, fault) = (sent.cost, sent.retries, sent.error);
         let channel_wall = t_chan.elapsed();
 
         if let Some(fault) = fault {
@@ -1314,47 +1216,15 @@ impl Controller {
         // The remove batches mutate the data plane: new telemetry epoch.
         let faults_before = self.faults_fired_total();
         let epoch = self.bump_epoch();
-        let batches = plan_remove(&installed.handles);
+        let plan = plan_remove(&installed.handles);
         let t_chan = Instant::now();
-        let mut update_delay = Nanos::ZERO;
-        let mut entries_revoked = 0u64;
-        let mut retries_total = 0u64;
-        let mut fault: Option<SimError> = None;
-        let mut remaining: Vec<ControlOp> = Vec::new();
-        if vectored {
-            // One ordered batch; the filter deletions still come first, so
-            // the program stops matching before any component disappears.
-            let ops: Vec<ControlOp> = batches.into_iter().flat_map(|b| b.ops).collect();
-            let (out, retries) = self.apply_with_retry(&ops, true);
-            retries_total += retries;
-            update_delay += out.cost;
-            entries_revoked +=
-                out.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64;
-            if out.error.is_some() {
-                fault = out.error;
-                remaining = ops[out.results.len()..].to_vec();
-            }
-        } else {
-            let mut it = batches.into_iter();
-            for batch in it.by_ref() {
-                let (out, retries) = self.apply_with_retry(&batch.ops, false);
-                retries_total += retries;
-                update_delay += out.cost;
-                entries_revoked +=
-                    out.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64;
-                if out.error.is_some() {
-                    fault = out.error;
-                    remaining = batch.ops[out.results.len()..].to_vec();
-                    break;
-                }
-            }
-            for batch in it {
-                remaining.extend(batch.ops);
-            }
-        }
+        let sent = self.send_plan(plan, vectored);
+        let entries_revoked =
+            sent.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64;
+        let (update_delay, retries_total) = (sent.cost, sent.retries);
         let channel_wall = t_chan.elapsed();
 
-        if let Some(f) = fault {
+        if let Some(f) = sent.error {
             self.fault_stats.revoke_faults += 1;
             if matches!(f, SimError::DeviceReset { .. }) {
                 // Forward recovery: the wipe finished the removal (it also
@@ -1368,7 +1238,10 @@ impl Controller {
                 let prog_id = installed.image.prog_id;
                 self.wedged.insert(
                     name.to_string(),
-                    WedgedProgram { image: installed.image, pending_ops: remaining },
+                    WedgedProgram {
+                        image: installed.image,
+                        pending_ops: sent.ops[sent.results.len()..].to_vec(),
+                    },
                 );
                 self.spans.push(LifecycleSpan {
                     seq: self.spans.len() as u64,
@@ -1887,38 +1760,4 @@ impl Controller {
             None => self.switch.trace().cloned(),
         }
     }
-}
-
-/// The compile front half of a deploy — parse, check, lower, allocate —
-/// against a caller-supplied (possibly snapshot) resource view. Runs on
-/// `deploy_many` worker threads; touches no controller state.
-fn compile_source(
-    source: &str,
-    ctx: &CheckContext,
-    view: &AllocView,
-    cfg: &AllocConfig,
-) -> CtlResult<Vec<CompiledProgram>> {
-    let t0 = Instant::now();
-    let unit = parse(source).map_err(CompileError::from)?;
-    check(&unit, ctx).map_err(CompileError::from)?;
-    let parse_wall = t0.elapsed();
-    let mems: Vec<MemDecl> = unit
-        .annotations
-        .iter()
-        .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
-        .collect();
-    let mut out = Vec::with_capacity(unit.programs.len());
-    for prog in &unit.programs {
-        let ir = lower(prog, &mems)?;
-        let t_alloc = Instant::now();
-        let allocation = allocate(&ir, view, cfg)?;
-        out.push(CompiledProgram {
-            name: prog.name.clone(),
-            ir,
-            allocation,
-            parse_wall,
-            alloc_wall: t_alloc.elapsed(),
-        });
-    }
-    Ok(out)
 }

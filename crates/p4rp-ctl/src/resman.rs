@@ -60,7 +60,7 @@ impl ResourceManager {
     }
 
     /// The allocator's view of current availability (incrementally
-    /// maintained; clone it for a speculative snapshot).
+    /// maintained).
     pub fn alloc_view(&self) -> &AllocView {
         &self.view
     }

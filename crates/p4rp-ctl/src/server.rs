@@ -292,8 +292,11 @@ impl Service<'_> {
     /// Admission (timeout, rate limit) runs per request in arrival
     /// order; admitted deploys then execute as ONE `deploy_many` batch,
     /// admitted revokes as ONE `revoke_many` batch, and everything else
-    /// in arrival order after them. Replies restate the request id, so
-    /// clients correlate however the tick reordered.
+    /// in arrival order after them. A tick holding a single deploy or
+    /// revoke takes the same call, so a reply's simulated update delay
+    /// never depends on how requests happened to coalesce. Replies
+    /// restate the request id, so clients correlate however the tick
+    /// reordered.
     fn tick(&mut self, batch: Vec<Command>) {
         let mut deploys: Vec<Admitted<String>> = Vec::new();
         let mut revokes: Vec<Admitted<String>> = Vec::new();
@@ -372,15 +375,8 @@ impl Service<'_> {
         if !deploys.is_empty() {
             self.stats.batched_deploys += deploys.len() as u64;
             self.begin_all(deploys.iter().map(|d| (d.2, d.0, RequestOp::Deploy)));
-            // A batch of one skips the vectored path: `deploy_many`
-            // clones the allocator snapshot and spins worker threads,
-            // which is pure overhead when there is nothing to overlap.
-            let results = if deploys.len() == 1 {
-                vec![self.ctl.deploy(&deploys[0].3)]
-            } else {
-                let sources: Vec<String> = deploys.iter().map(|d| d.3.clone()).collect();
-                self.ctl.deploy_many(&sources)
-            };
+            let sources: Vec<String> = deploys.iter().map(|d| d.3.clone()).collect();
+            let results = self.ctl.deploy_many(&sources);
             for ((request, submit_ns, client, _, reply, inflight), result) in
                 deploys.into_iter().zip(results)
             {

@@ -2,8 +2,9 @@
 //! memoized solver in `p4rp_compiler::alloc` must be observationally
 //! equivalent to the naive DFS preserved in `alloc_reference` — same
 //! feasibility verdict and the same (exact) objective on every program
-//! and plane state — plus a regression test that concurrent `deploy_many`
-//! commits never double-book memory or table entries.
+//! and plane state — plus regression tests that batched `deploy_many`
+//! commits never double-book memory or table entries and report exactly
+//! what fast-path `deploy` calls do.
 //!
 //! The reference is the §4.3 model written out directly, with no pruning
 //! beyond the `x_L` bound; the fast solver adds suffix-capacity cuts,
@@ -17,7 +18,8 @@ use p4runpro::p4rp_compiler::alloc::{allocate, AllocConfig, AllocView, Objective
 use p4runpro::p4rp_compiler::ir::{lower, MemDecl};
 use p4runpro::p4rp_dataplane::{NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_lang::parse;
-use p4runpro::p4rp_ctl::Controller;
+use p4runpro::p4rp_compiler::CompileError;
+use p4runpro::p4rp_ctl::{Controller, CtlError, DeployReport};
 use p4runpro::rmt_sim::trace::TraceConfig;
 
 /// Random small-program source: register ops, up to two accesses to each
@@ -144,20 +146,19 @@ proptest! {
     }
 }
 
-/// Conflicting concurrent deploys must never double-book resources: every
-/// speculative allocation is computed against the same snapshot (so they
-/// all want the same placement), and the serial validate-commit phase has
-/// to detect each collision and re-solve the loser against the live view.
+/// Conflicting batched deploys must never double-book resources: every
+/// program wants the same placement on an empty plane, so each must be
+/// allocated against the live view its predecessors left behind.
 /// Granted regions must end up pairwise disjoint, and the invariant
 /// checker must stay quiet through deploy-under-replay.
 #[test]
-fn concurrent_deploys_never_double_book() {
+fn batched_deploys_never_double_book() {
     let mut ctl = Controller::with_defaults().unwrap();
     ctl.enable_trace(TraceConfig::default());
 
     // Each program wants an entire RPB's memory (sizes must be powers of
     // two for mask-based address translation), so no two fit in the RPB
-    // the snapshot speculation steers them all toward.
+    // an empty plane steers them all toward.
     let big = RPB_MEM_SIZE;
     let sources: Vec<String> = (0..6)
         .map(|i| {
@@ -172,10 +173,6 @@ fn concurrent_deploys_never_double_book() {
     for r in &results {
         r.as_ref().expect("plane has room for all six in distinct RPBs");
     }
-    assert!(
-        ctl.spec_conflicts() >= 1,
-        "all six speculated the same RPB; at least one commit must have re-solved"
-    );
 
     // No two granted regions overlap within an RPB.
     let mut regions: Vec<(u8, u32, u32)> = Vec::new();
@@ -250,4 +247,68 @@ fn deploy_many_reuses_entry_templates() {
     let (hits, misses) = ctl.entry_cache_stats();
     assert_eq!(hits + misses, 8);
     assert!(hits >= 6, "identical shapes should hit the template cache: {hits} hits");
+}
+
+/// The deterministic slice of a deploy report: everything but wall-clock.
+fn report_facts(r: &DeployReport) -> (String, u16, usize, usize, u8, u64) {
+    (r.name.clone(), r.prog_id, r.entries_installed, r.depth, r.passes, r.update_delay.0)
+}
+
+/// `deploy` with the fast path on and `deploy_many` are one path: the same
+/// source sequence gives identical reports and verdicts on both. A source
+/// whose second program cannot be placed pins the shared best-effort
+/// semantics: its first program stays installed on both.
+#[test]
+fn fast_path_deploy_matches_deploy_many() {
+    // Sixty-four dependent register writes need more logical RPBs than
+    // two passes provide, so the allocator rejects the program.
+    let too_deep: String = (0..64).map(|i| format!("LOADI(har, {i}); ")).collect();
+    let sources: Vec<String> = vec![
+        "@ m 256\nprogram a(<hdr.ipv4.dst, 10.3.0.1, 0xffffffff>) \
+         { LOADI(mar, 1); MEMADD(m); }"
+            .into(),
+        format!(
+            "program b(<hdr.ipv4.dst, 10.3.1.1, 0xffffffff>) {{ FORWARD(2); }}\n\
+             program c(<hdr.ipv4.dst, 10.3.2.1, 0xffffffff>) {{ {too_deep}}}"
+        ),
+        "@ m 64\nprogram d(<hdr.ipv4.dst, 10.3.3.1, 0xffffffff>) \
+         { HASH_5_TUPLE_MEM(m); MEMMAX(m); }\n\
+         program e(<hdr.ipv4.dst, 10.3.4.1, 0xffffffff>) { DROP; }"
+            .into(),
+        // Already resident: rejected by both.
+        "program a(<hdr.ipv4.dst, 10.3.5.1, 0xffffffff>) { DROP; }".into(),
+        "@ m 1024\nprogram f(<hdr.udp.dst_port, 7777, 0xffff>) \
+         { EXTRACT(hdr.nc.key1, mar); LOADI(mar, 512); MEMREAD(m); FORWARD(32); }"
+            .into(),
+    ];
+
+    let mut single = Controller::with_defaults().unwrap();
+    single.set_fast_path(true);
+    let mut batched = Controller::with_defaults().unwrap();
+    let many = batched.deploy_many(&sources);
+    assert_eq!(many.len(), sources.len());
+    for (src, b) in sources.iter().zip(&many) {
+        match (single.deploy(src), b) {
+            (Ok(s), Ok(b)) => {
+                let s: Vec<_> = s.iter().map(report_facts).collect();
+                let b: Vec<_> = b.iter().map(report_facts).collect();
+                assert_eq!(s, b, "reports diverged for {src}");
+            }
+            (Err(s), Err(b)) => assert_eq!(s.to_string(), b.to_string(), "{src}"),
+            (s, b) => panic!("verdicts diverged for {src}: {s:?} vs {b:?}"),
+        }
+    }
+    assert!(
+        matches!(many[1], Err(CtlError::Compile(CompileError::TooDeep { .. }))),
+        "{:?}",
+        many[1]
+    );
+    assert!(matches!(many[3], Err(CtlError::DuplicateProgram(_))), "{:?}", many[3]);
+
+    for ctl in [&single, &batched] {
+        let mut names: Vec<&String> = ctl.deployed_programs().map(|(n, _)| n).collect();
+        names.sort();
+        assert_eq!(names, ["a", "b", "d", "e", "f"]);
+        assert!(ctl.audit().unwrap().clean());
+    }
 }

@@ -19,6 +19,7 @@
 use p4runpro::p4rp_ctl::server::{serve, Client, ServerConfig};
 use p4runpro::p4rp_ctl::telemetry::ServerStats;
 use p4runpro::rmt_sim::trace::TraceConfig;
+use p4runpro::p4rp_ctl::DeployReport;
 use p4runpro::Controller;
 use serde::Value;
 use std::io::{Read, Write};
@@ -84,6 +85,18 @@ fn deploy_facts(report: &Value) -> DeployFacts {
         depth: get_u64(report, "depth"),
         passes: get_u64(report, "passes"),
         update_delay_ns: get_u64(report, "update_delay_ns"),
+    }
+}
+
+/// The same deterministic slice of a direct controller's report.
+fn report_facts(report: &DeployReport) -> DeployFacts {
+    DeployFacts {
+        name: report.name.clone(),
+        prog_id: u64::from(report.prog_id),
+        entries_installed: report.entries_installed as u64,
+        depth: report.depth as u64,
+        passes: u64::from(report.passes),
+        update_delay_ns: report.update_delay.0,
     }
 }
 
@@ -174,15 +187,7 @@ fn concurrent_sessions_match_direct_controller_bit_for_bit() {
             .as_ref()
             .unwrap_or_else(|e| panic!("direct deploy of `{}`: {e}", facts.name));
         assert_eq!(reports.len(), 1);
-        let want = DeployFacts {
-            name: reports[0].name.clone(),
-            prog_id: u64::from(reports[0].prog_id),
-            entries_installed: reports[0].entries_installed as u64,
-            depth: reports[0].depth as u64,
-            passes: u64::from(reports[0].passes),
-            update_delay_ns: reports[0].update_delay.0,
-        };
-        assert_eq!(facts, &want, "server/direct deploy reports diverged");
+        assert_eq!(facts, &report_facts(&reports[0]), "server/direct deploy reports diverged");
     }
     for (facts, _, revoke) in &committed {
         let direct_report = direct.revoke_many(std::slice::from_ref(&facts.name))[0]
@@ -201,6 +206,55 @@ fn concurrent_sessions_match_direct_controller_bit_for_bit() {
         );
     }
     assert!(direct.audit().unwrap().clean());
+}
+
+/// One client sending strictly one request at a time puts a single
+/// deploy or revoke in every tick. Each reply must still carry the
+/// per-program vectored cost that `deploy_many` / `revoke_many` report on
+/// a direct controller: the server has one deploy path whatever the tick
+/// holds, so the reply does not depend on how requests coalesced.
+#[test]
+fn single_request_ticks_match_direct_batch_calls() {
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let mut direct = Controller::with_defaults().unwrap();
+
+    let deploy = |c: &mut Client, direct: &mut Controller, i: usize| {
+        let source = source_for(i);
+        let reply = c.deploy(&source).unwrap();
+        let doc = serde::json::parse(&reply).unwrap();
+        assert_ok(&doc, "deploy");
+        let reports = doc.get("reports").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(reports.len(), 1, "{reply}");
+        let want = direct.deploy_many(std::slice::from_ref(&source)).remove(0).unwrap();
+        assert_eq!(deploy_facts(&reports[0]), report_facts(&want[0]), "deploy of c{i}");
+    };
+    let revoke = |c: &mut Client, direct: &mut Controller, i: usize| {
+        let name = format!("c{i}");
+        let reply = c.revoke(&name).unwrap();
+        let doc = serde::json::parse(&reply).unwrap();
+        assert_ok(&doc, "revoke");
+        let want = direct.revoke_many(std::slice::from_ref(&name)).remove(0).unwrap();
+        let report = doc.get("report").unwrap();
+        assert_eq!(get_str(report, "name"), want.name, "{reply}");
+        assert_eq!(get_u64(report, "update_delay_ns"), want.update_delay.0, "revoke of {name}");
+    };
+
+    // Interleaved so a revoked program id is reused by the next deploy.
+    deploy(&mut c, &mut direct, 0);
+    deploy(&mut c, &mut direct, 1);
+    revoke(&mut c, &mut direct, 0);
+    deploy(&mut c, &mut direct, 2);
+    revoke(&mut c, &mut direct, 1);
+    revoke(&mut c, &mut direct, 2);
+
+    assert_ok(&serde::json::parse(&c.shutdown().unwrap()).unwrap(), "shutdown");
+    let (stats, ctl) = server.join().unwrap();
+    // Every request, shutdown included, had a tick to itself.
+    assert_eq!(stats.requests, 7, "{stats:?}");
+    assert_eq!(stats.batches, stats.requests, "{stats:?}");
+    assert!(ctl.audit().unwrap().clean());
+    assert_eq!(ctl.trace_stats().violations, 0);
 }
 
 /// Over-limit clients are told so explicitly — a session past its rate
