@@ -23,9 +23,8 @@
 //! of 44 values). All four objective schemes of §6.2.4 are implemented:
 //! `f1 = α·x_L − β·x_1`, `f2 = x_L`, `f3 = x_L / x_1`, and the
 //! hierarchical scheme (minimize `x_L`, then maximize `x_1`). `f3`'s
-//! nonlinear objective defeats the bound pruning and is solved by full
-//! enumeration — reproducing its order-of-magnitude-slower solve times
-//! (Figure 12).
+//! nonlinear objective defeats the bound across `x_1` values, so it
+//! searches every `x_1` instead of stopping once no `x_1` can win.
 //!
 //! ## The fast solver
 //!
@@ -41,26 +40,24 @@
 //!   forwarding and no same-pass pair (alignment NOP levels) only ever
 //!   tries the smallest legal index — placing it earlier strictly
 //!   dominates;
-//! - **memoized infeasibility**: an incrementally-maintained zobrist-style
-//!   hash of the resource state (entries used, partition lengths, vmem
-//!   placements) keyed with the search frontier `(slot, lo, hi)` and the
-//!   passes of pending pair anchors. A frontier proven *completely*
-//!   infeasible (its range not truncated by the bound and no child cut off
-//!   by bound or budget) is recorded and never re-explored — across the
-//!   objective schemes' repeated `x_1`-pinned searches this collapses the
-//!   re-visited subtrees to a set lookup.
+//! - **look-ahead bound**: a table, built once per solve, of the latest
+//!   index each level can take so that the levels after it still fit in
+//!   strict order below a given `x_L` bound with every forwarding level in
+//!   an ingress RPB (constraints (1) and (4) alone). A level whose
+//!   forwarding tail cannot reach an ingress RPB in time is cut at the
+//!   node instead of at the leaves, which is what lets an infeasible
+//!   pinned `x_1` fail in a handful of nodes instead of the whole budget.
 //!
-//! Failures are memoized only when *complete* so the memo is
-//! bound-independent and safe to reuse across `search_min_xl` calls. The
-//! original clone-heavy solver survives as [`crate::alloc_reference`]
-//! (selected by [`AllocConfig::reference`]); the `alloc_equivalence`
-//! proptest suite keeps the two in lockstep.
+//! Every prune removes only subtrees without a feasible leaf and keeps the
+//! visiting order, so the result is the reference's. The original
+//! clone-heavy solver survives as [`crate::alloc_reference`] (selected by
+//! [`AllocConfig::reference`]); the `alloc_equivalence` proptest suite
+//! keeps the two in lockstep.
 
 use crate::errors::{CompileError, CompileResult};
 use crate::ir::{IrOp, ProgramIr};
 use p4rp_dataplane::{LogicalRpb, RpbId, NUM_RPBS};
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::collections::HashMap;
 
 /// Per-level requirements extracted from the IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,7 +133,7 @@ pub enum Objective {
     WeightedDiff { alpha: f64, beta: f64 },
     /// `f2 = x_L`.
     LastOnly,
-    /// `f3 = x_L / x_1` (nonlinear; slow by design).
+    /// `f3 = x_L / x_1` (nonlinear: every `x_1` is searched).
     Ratio,
     /// Minimize `x_L`, then maximize `x_1` with `x_L` fixed.
     Hierarchical,
@@ -161,7 +158,7 @@ pub struct AllocConfig {
     /// solution reports failure, like a Z3 timeout would.
     pub node_budget: u64,
     /// Solve with the naive reference DFS (clone-heavy, no pruning beyond
-    /// the `x_L` bound) instead of the interned/memoized fast solver. The
+    /// the `x_L` bound) instead of the interned, pruned fast solver. The
     /// reference is the semantic authority the `alloc_equivalence`
     /// proptest suite checks the fast solver against, and the "before"
     /// side of `bench_controlplane`.
@@ -289,6 +286,25 @@ fn allocate_slots(
     for i in (0..l).rev() {
         entries_suffix[i] = entries_suffix[i + 1] + ireqs[i].entries;
     }
+    // Look-ahead: `latest[i·width + u]` is the largest index level `i` can
+    // take when `x_L < u`, given strict ordering of levels `i..` and
+    // constraint (4) for each forwarding level among them (0 = none).
+    // `prev_ingress[c]` is the largest ingress index ≤ `c` (0 = none).
+    let width = usize::from(max_index) + 2;
+    let mut prev_ingress = vec![0u16; width - 1];
+    for c in 1..width - 1 {
+        let ingress = LogicalRpb::from_index(c as u16).rpb().is_ingress();
+        prev_ingress[c] = if ingress { c as u16 } else { prev_ingress[c - 1] };
+    }
+    let mut latest = vec![0u16; l * width];
+    for i in (0..l).rev() {
+        for u in 0..width {
+            let below = if i + 1 == l { u as u16 } else { latest[(i + 1) * width + u] };
+            let c = below.saturating_sub(1);
+            latest[i * width + u] =
+                if ireqs[i].is_forwarding { prev_ingress[usize::from(c)] } else { c };
+        }
+    }
 
     let mut solver = Solver {
         budget: cfg.node_budget,
@@ -296,6 +312,8 @@ fn allocate_slots(
         pairs,
         sizes: &sizes,
         entries_suffix: &entries_suffix,
+        latest: &latest,
+        width,
         max_index,
         te_free: view.te_free.clone(),
         te_used: vec![0; NUM_RPBS],
@@ -303,9 +321,6 @@ fn allocate_slots(
         mem_free: view.mem_free.clone(),
         mem_placed: vec![None; sizes.len()],
         nodes: 0,
-        solutions: 0,
-        state_hash: 0,
-        memo: MemoSet::default(),
     };
 
     let best = match cfg.objective {
@@ -349,8 +364,8 @@ fn allocate_slots(
             best
         }
         Objective::Ratio => {
-            // Nonlinear: full enumeration over x_1, no bound pruning — the
-            // deliberate cost the paper measures in Figure 12.
+            // Nonlinear: no bound across x_1 values, so every x_1 is
+            // searched.
             let mut best: Option<(Vec<u16>, f64)> = None;
             for x1 in 1..=max_index - (l as u16 - 1) {
                 if let Some((x, xl)) = solver.search_min_xl(Some(x1), None) {
@@ -405,35 +420,6 @@ struct SlotReqI {
     free: bool,
 }
 
-/// splitmix64 finalizer — the per-component mixer for the state hash.
-#[inline]
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Memo keys are already splitmix-mixed; the set hasher passes them through.
-#[derive(Default)]
-struct PreMixed(u64);
-
-impl std::hash::Hasher for PreMixed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type MemoSet = HashSet<u64, BuildHasherDefault<PreMixed>>;
-
 struct Solver<'a> {
     budget: u64,
     reqs: &'a [SlotReqI],
@@ -442,6 +428,9 @@ struct Solver<'a> {
     sizes: &'a [u32],
     /// `entries_suffix[i]` = entries needed by slots `i..`.
     entries_suffix: &'a [usize],
+    /// The look-ahead table, `width` columns per slot (see `allocate_slots`).
+    latest: &'a [u16],
+    width: usize,
     max_index: u16,
     te_free: Vec<usize>,
     te_used: Vec<usize>,
@@ -451,19 +440,11 @@ struct Solver<'a> {
     /// vmem id → (physical rpb index 0-based, last pass used).
     mem_placed: Vec<Option<(usize, u8)>>,
     nodes: u64,
-    /// Assignments reaching the base case (for memo soundness checks).
-    solutions: u64,
-    /// Zobrist-style hash of (te_used, mem_free lengths, mem_placed),
-    /// maintained incrementally by `try_place`/`unplace`.
-    state_hash: u64,
-    /// Frontiers proven completely infeasible.
-    memo: MemoSet,
 }
 
 impl Solver<'_> {
     /// Branch-and-bound minimizing `x_L`, optionally pinning `x_1` and
-    /// bounding `x_L`. Returns the best assignment found. The memo is
-    /// shared across calls — entries are bound-independent facts.
+    /// bounding `x_L`. Returns the best assignment found.
     fn search_min_xl(&mut self, x1: Option<u16>, xl_cap: Option<u16>) -> Option<(Vec<u16>, u16)> {
         let mut best: Option<(Vec<u16>, u16)> = None;
         let mut x = vec![0u16; self.reqs.len()];
@@ -473,10 +454,12 @@ impl Solver<'_> {
         best
     }
 
-    /// Returns `true` when the subtree was searched *completely* — its
-    /// candidate range not truncated by the `x_L` bound and no descendant
-    /// cut off by bound or budget. A complete subtree without a solution
-    /// is a bound-independent infeasibility fact, safe to memoize.
+    /// The latest index `slot` can take with a completion below `bound`.
+    #[inline]
+    fn latest(&self, slot: usize, bound: u16) -> u16 {
+        self.latest[slot * self.width + usize::from(bound)]
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn dfs(
         &mut self,
@@ -487,130 +470,57 @@ impl Solver<'_> {
         best: &mut Option<(Vec<u16>, u16)>,
         bound: &mut u16,
         deadline: u64,
-    ) -> bool {
+    ) {
         if self.nodes >= deadline {
-            return false;
+            return;
         }
         let l = self.reqs.len();
         if slot == l {
             let xl = x[l - 1];
-            self.solutions += 1;
             if best.as_ref().is_none_or(|(_, b)| xl < *b) {
                 *best = Some((x.clone(), xl));
                 *bound = xl;
             }
-            return true;
+            return;
         }
         // Suffix capacity: entries still to place exceed the total free —
         // infeasible no matter the assignment.
         if self.entries_suffix[slot] > self.free_total {
-            return true;
+            return;
         }
-        let remaining = (l - 1 - slot) as u16;
         let lo = if slot == 0 { x1.unwrap_or(1) } else { prev + 1 };
-        let mut hi_struct = self.max_index - remaining;
+        // Look-ahead bound: past `latest`, the remaining levels cannot all
+        // fit, in order and with forwarding in ingress RPBs, below `bound`.
+        let mut hi = self.latest(slot, *bound);
         if slot == 0 && x1.is_some() {
-            hi_struct = hi_struct.min(lo);
+            hi = hi.min(lo);
         }
-        if lo > hi_struct {
-            return true;
-        }
-        let key = self.frontier_key(slot, lo, hi_struct, x);
-        if self.memo.contains(&key) {
-            return true;
-        }
-        // Bound: x_L ≥ x_slot + remaining, so x_slot must stay below
-        // bound − remaining to improve.
-        let hi = hi_struct.min(bound.saturating_sub(remaining + 1));
         if lo > hi {
-            return false;
+            return;
         }
 
-        let found_before = self.solutions;
-        let mut complete;
         if self.reqs[slot].free {
             // Dominance: placing an unconstrained slot at `lo` strictly
             // dominates any later index (same resources, looser ordering),
-            // so one child decides the whole structural range.
+            // so one child decides the whole range.
             self.nodes += 1;
             x[slot] = lo;
-            complete = self.dfs(slot + 1, lo, x1, x, best, bound, deadline);
+            self.dfs(slot + 1, lo, x1, x, best, bound, deadline);
             x[slot] = 0;
-        } else {
-            complete = hi == hi_struct;
-            for cand in lo..=hi {
-                // A solution inside this subtree tightened the bound;
-                // re-derive the cutoff (truncation is fine — the memo
-                // insert below is already off once a solution exists).
-                if cand > bound.saturating_sub(remaining + 1) {
-                    complete = false;
-                    break;
-                }
-                self.nodes += 1;
-                if let Some(undo) = self.try_place(slot, cand, x) {
-                    x[slot] = cand;
-                    let child = self.dfs(slot + 1, cand, x1, x, best, bound, deadline);
-                    x[slot] = 0;
-                    self.unplace(undo);
-                    complete &= child;
-                }
+            return;
+        }
+        for cand in lo..=hi {
+            // A solution inside this subtree tightens the bound.
+            if cand > self.latest(slot, *bound) {
+                break;
             }
-        }
-        if complete && self.solutions == found_before {
-            self.memo.insert(key);
-        }
-        complete
-    }
-
-    /// The memo key for a frontier: resource-state hash, the slot, its
-    /// candidate range, and the passes of anchors of still-pending
-    /// same-pass pairs (the only way already-assigned `x` values reach
-    /// into the subtree other than through `lo`).
-    fn frontier_key(&self, slot: usize, lo: u16, hi_struct: u16, x: &[u16]) -> u64 {
-        let mut h = self.state_hash
-            ^ mix(
-                0x5000_0000_0000_0000
-                    | (slot as u64) << 32
-                    | u64::from(lo) << 16
-                    | u64::from(hi_struct),
-            );
-        for &(a, b) in self.pairs {
-            if a < slot && b >= slot {
-                let pass = LogicalRpb::from_index(x[a]).pass();
-                h ^= mix(
-                    0x6000_0000_0000_0000
-                        | (a as u64) << 32
-                        | (b as u64) << 16
-                        | u64::from(pass),
-                );
+            self.nodes += 1;
+            if let Some(undo) = self.try_place(slot, cand, x) {
+                x[slot] = cand;
+                self.dfs(slot + 1, cand, x1, x, best, bound, deadline);
+                x[slot] = 0;
+                self.unplace(undo);
             }
-        }
-        h
-    }
-
-    #[inline]
-    fn toggle_te(&mut self, rpb_idx: usize) {
-        self.state_hash ^= mix(
-            0x1000_0000_0000_0000 | (rpb_idx as u64) << 32 | self.te_used[rpb_idx] as u64,
-        );
-    }
-
-    #[inline]
-    fn toggle_part(&mut self, rpb_idx: usize, part: usize) {
-        self.state_hash ^= mix(
-            0x2000_0000_0000_0000
-                | (rpb_idx as u64) << 40
-                | (part as u64) << 20
-                | u64::from(self.mem_free[rpb_idx][part]),
-        );
-    }
-
-    #[inline]
-    fn toggle_placed(&mut self, mem: usize) {
-        if let Some((rpb, pass)) = self.mem_placed[mem] {
-            self.state_hash ^= mix(
-                0x3000_0000_0000_0000 | (mem as u64) << 32 | (rpb as u64) << 8 | u64::from(pass),
-            );
         }
     }
 
@@ -651,9 +561,7 @@ impl Solver<'_> {
                         self.rollback(mem_undo);
                         return None;
                     }
-                    self.toggle_placed(mi);
                     self.mem_placed[mi] = Some((rpb_idx, pass));
-                    self.toggle_placed(mi);
                     mem_undo.push(MemUndo::Replaced(m, (placed_rpb, last_pass)));
                 }
                 None => {
@@ -661,11 +569,8 @@ impl Solver<'_> {
                     // First-fit over the free partitions.
                     match self.mem_free[rpb_idx].iter().position(|&p| p >= size) {
                         Some(part) => {
-                            self.toggle_part(rpb_idx, part);
                             self.mem_free[rpb_idx][part] -= size;
-                            self.toggle_part(rpb_idx, part);
                             self.mem_placed[mi] = Some((rpb_idx, pass));
-                            self.toggle_placed(mi);
                             mem_undo.push(MemUndo::Taken(m, rpb_idx, part, size));
                         }
                         None => {
@@ -676,22 +581,14 @@ impl Solver<'_> {
                 }
             }
         }
-        if req.entries > 0 {
-            self.toggle_te(rpb_idx);
-            self.te_used[rpb_idx] += req.entries;
-            self.toggle_te(rpb_idx);
-            self.free_total -= req.entries;
-        }
+        self.te_used[rpb_idx] += req.entries;
+        self.free_total -= req.entries;
         Some(Undo { rpb_idx, entries: req.entries, mem: mem_undo })
     }
 
     fn unplace(&mut self, undo: Undo) {
-        if undo.entries > 0 {
-            self.toggle_te(undo.rpb_idx);
-            self.te_used[undo.rpb_idx] -= undo.entries;
-            self.toggle_te(undo.rpb_idx);
-            self.free_total += undo.entries;
-        }
+        self.te_used[undo.rpb_idx] -= undo.entries;
+        self.free_total += undo.entries;
         self.rollback(undo.mem);
     }
 
@@ -704,18 +601,11 @@ impl Solver<'_> {
     fn undo_mem(&mut self, u: MemUndo) {
         match u {
             MemUndo::Taken(m, rpb, part, size) => {
-                let mi = usize::from(m);
-                self.toggle_part(rpb, part);
                 self.mem_free[rpb][part] += size;
-                self.toggle_part(rpb, part);
-                self.toggle_placed(mi);
-                self.mem_placed[mi] = None;
+                self.mem_placed[usize::from(m)] = None;
             }
             MemUndo::Replaced(m, prev) => {
-                let mi = usize::from(m);
-                self.toggle_placed(mi);
-                self.mem_placed[mi] = Some(prev);
-                self.toggle_placed(mi);
+                self.mem_placed[usize::from(m)] = Some(prev);
             }
         }
     }

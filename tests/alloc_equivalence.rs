@@ -1,17 +1,18 @@
-//! The fast allocator against the reference: the interned / pruned /
-//! memoized solver in `p4rp_compiler::alloc` must be observationally
-//! equivalent to the naive DFS preserved in `alloc_reference` — same
-//! feasibility verdict and the same (exact) objective on every program
-//! and plane state — plus regression tests that batched `deploy_many`
-//! commits never double-book memory or table entries and report exactly
-//! what fast-path `deploy` calls do.
+//! The fast allocator against the reference: the interned and pruned
+//! solver in `p4rp_compiler::alloc` must be observationally equivalent to
+//! the naive DFS preserved in `alloc_reference` — same feasibility verdict
+//! and the same (exact) objective on every program and plane state — plus
+//! regression tests that the benchmark-shaped resident load keeps its
+//! allocations at a bounded solver cost, that batched `deploy_many`
+//! commits never double-book memory or table entries, and that they report
+//! exactly what fast-path `deploy` calls do.
 //!
 //! The reference is the §4.3 model written out directly, with no pruning
 //! beyond the `x_L` bound; the fast solver adds suffix-capacity cuts,
-//! free-slot dominance, and memoized infeasible frontiers, all of which
-//! must be invisible in the result. Both run with a node budget large
-//! enough that neither truncates on these program sizes, so exact
-//! equality (not just "no worse") is the right assertion.
+//! free-slot dominance and a look-ahead bound from constraints (1) and
+//! (4), all of which must be invisible in the result. Both run with a node
+//! budget large enough that neither truncates on these program sizes, so
+//! exact equality (not just "no worse") is the right assertion.
 
 use proptest::prelude::*;
 use p4runpro::p4rp_compiler::alloc::{allocate, AllocConfig, AllocView, Objective};
@@ -20,18 +21,33 @@ use p4runpro::p4rp_dataplane::{NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_lang::parse;
 use p4runpro::p4rp_compiler::CompileError;
 use p4runpro::p4rp_ctl::{Controller, CtlError, DeployReport};
+use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
 use p4runpro::rmt_sim::trace::TraceConfig;
 
-/// Random small-program source: register ops, up to two accesses to each
-/// of two virtual memories (R = 1 permits at most two passes), optional
-/// forwarding primitives that trigger the ingress-only constraint.
-fn arb_source() -> impl Strategy<Value = String> {
+/// A one-level register op.
+fn arb_reg_op() -> impl Strategy<Value = String> {
     let reg = prop::sample::select(vec!["har", "sar", "mar"]);
     let simple = (reg.clone(), 0u32..1000).prop_map(|(r, i)| format!("LOADI({r}, {i});"));
     let two = (reg.clone(), reg, prop::sample::select(vec!["ADD", "XOR", "MIN", "MAX"]))
         .prop_filter_map("distinct regs", |(a, b, op)| {
             (a != b).then(|| format!("{op}({a}, {b});"))
         });
+    prop_oneof![simple, two]
+}
+
+fn arb_forward() -> impl Strategy<Value = String> {
+    prop::sample::select(vec!["FORWARD(5);", "DROP;"]).prop_map(str::to_string)
+}
+
+/// Random program source. Short programs mix register ops, up to two
+/// accesses to each of two virtual memories (R = 1 permits at most two
+/// passes) and forwarding primitives anywhere. Deep ones run 10–11
+/// register ops and end in one or two of FORWARD/DROP: constraint (4)
+/// confines that tail to ingress RPBs and so rules out every late `x_1`,
+/// the case the fast solver's look-ahead bound cuts at the root and the
+/// reference only finds at the leaves. Their depth is capped so the
+/// reference's exhaustive search of those `x_1` stays inside its budget.
+fn arb_source() -> impl Strategy<Value = String> {
     let mem = prop::sample::select(vec![
         "LOADI(mar, 3); MEMREAD(ma);",
         "HASH_5_TUPLE_MEM(ma); MEMADD(ma);",
@@ -39,9 +55,17 @@ fn arb_source() -> impl Strategy<Value = String> {
         "HASH_5_TUPLE_MEM(mb); MEMMAX(mb);",
     ])
     .prop_map(str::to_string);
-    let fwd = prop::sample::select(vec!["FORWARD(5);", "DROP;"]).prop_map(str::to_string);
-    let stmt = prop_oneof![simple, two, mem, fwd];
-    proptest::collection::vec(stmt, 1..8)
+    let stmt = prop_oneof![arb_reg_op(), mem, arb_forward()];
+    let short = proptest::collection::vec(stmt, 1..8);
+    let deep = (
+        proptest::collection::vec(arb_reg_op(), 10..12),
+        proptest::collection::vec(arb_forward(), 1..3),
+    )
+        .prop_map(|(mut body, tail)| {
+            body.extend(tail);
+            body
+        });
+    prop_oneof![short, deep]
         .prop_filter("≤2 accesses per memory", |stmts| {
             let joined = stmts.join(" ");
             joined.matches("(ma)").count() <= 2 && joined.matches("(mb)").count() <= 2
@@ -120,6 +144,12 @@ proptest! {
         let reference = allocate(&ir, &view, &ref_cfg);
         match (fast, reference) {
             (Ok(f), Ok(r)) => {
+                // Each inner search gets the whole budget, so a total
+                // below it proves no search of the reference was cut short.
+                prop_assert!(
+                    r.nodes_explored < ref_cfg.node_budget,
+                    "reference may have truncated: {} nodes", r.nodes_explored,
+                );
                 prop_assert!(
                     (f.objective_value - r.objective_value).abs() < 1e-9,
                     "objective diverged: fast {} vs reference {} (x {:?} vs {:?})",
@@ -142,6 +172,63 @@ proptest! {
                 "verdict diverged: fast {:?} vs reference {:?}",
                 f.map(|a| a.x), r.map(|a| a.x),
             ),
+        }
+    }
+}
+
+/// The allocation every resident of a family gets in the load below, as
+/// `(family, x_1, x_L)` with the levels on consecutive indices. `hh`,
+/// `nc` and `fw` end in two forwarding levels, which must both sit in
+/// ingress RPBs; here they land on 23 and 24, the second pass's first two.
+const LOAD_X: [(&str, u16, u16); 15] = [
+    ("cache", 1, 10),
+    ("lb", 1, 8),
+    ("hh", 2, 24),
+    ("nc", 2, 24),
+    ("dqacc", 1, 6),
+    ("fw", 14, 24),
+    ("l2", 1, 3),
+    ("l3", 1, 3),
+    ("tun", 1, 3),
+    ("calc", 1, 7),
+    ("ecn", 1, 5),
+    ("cms", 1, 8),
+    ("bf", 1, 8),
+    ("sumax", 1, 8),
+    ("hll", 1, 6),
+];
+
+/// The repository benchmark's initial load — 128 residents built by
+/// `p4rp_progs::instance`, the 15 families in turn, rotated by the seed —
+/// deployed one by one into the default controller. Every allocation
+/// must keep the placement in `LOAD_X`, and no deploy may take more than
+/// 1,000 solver nodes: node counts are exact per input, so this guards
+/// the solver's cost on realistic programs without a timing constant.
+/// A search that finds out only at the leaves that a late `x_1` leaves
+/// the forwarding tail no ingress RPB spends millions of nodes on the
+/// deep `hh`, `nc` and `fw` residents.
+#[test]
+fn benchmark_load_keeps_its_allocations_cheaply() {
+    for seed in [1usize, 7] {
+        let mut ctl = Controller::with_defaults().unwrap();
+        for i in 0..128 {
+            let family = Family::ALL[(i + seed) % Family::ALL.len()];
+            let reports = ctl.deploy(&instance(family, i, WorkloadParams::default())).unwrap();
+            for r in &reports {
+                let &(_, first, last) = LOAD_X
+                    .iter()
+                    .find(|(name, ..)| *name == family.name())
+                    .expect("every family has a recorded allocation");
+                let want: Vec<u16> = (first..=last).collect();
+                let got = &ctl.program(&r.name).unwrap().allocation.x;
+                assert_eq!(got, &want, "seed {seed}: `{}` moved", r.name);
+                assert!(
+                    r.alloc_nodes <= 1_000,
+                    "seed {seed}: `{}` took {} solver nodes",
+                    r.name,
+                    r.alloc_nodes
+                );
+            }
         }
     }
 }
