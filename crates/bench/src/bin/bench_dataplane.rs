@@ -22,6 +22,7 @@
 use bench::fixtures::{cache_controller, exact_fixture, ternary_fixture, ternary_switch, tss_fixture};
 use bench::measure::{ab_min, time_ns};
 use rmt_sim::clock::Nanos;
+use rmt_sim::salu::{FlatRegArray, RegArray, SaluCond, SaluExpr, SaluInstr, SaluOutput};
 use rmt_sim::switch::ProcessOutcome;
 use rmt_sim::trace::TraceConfig;
 use serde::{json, Value};
@@ -40,6 +41,16 @@ const ATTR_MAX_RATIO: f64 = 1.6;
 /// 64 mask groups, the indexed path (with the megaflow result cache
 /// armed) must beat the priority-ordered scan by at least this factor.
 const TSS_MIN_SPEEDUP_4096: f64 = 10.0;
+
+/// Paged register SRAM must stay within this factor of flat SRAM per
+/// SALU read-modify-write, measured interleaved in the same run.
+const SALU_MAX_RATIO: f64 = 1.10;
+/// Buckets in the SALU probe's array: one RPB memory (§5).
+const SALU_BUCKETS: usize = 65_536;
+/// Addresses in the SALU probe's stream, spread over the whole array so
+/// every page is resident once the stream has cycled (the paged side's
+/// worst case: no absent-page shortcut).
+const SALU_STREAM: usize = 4_096;
 
 /// Packets per parallel-scaling replay window.
 const REPLAY_PACKETS: usize = 20_000;
@@ -158,6 +169,46 @@ fn churned_parallel_replay(trace: &[TimedPacket], deploys: usize) -> (f64, f64) 
     (replay_ns, deploy_total as f64 / deploys.max(1) as f64)
 }
 
+/// (paged, flat) ns per SALU read-modify-write over one address stream:
+/// `update` with the SALU instruction, as `rmt_sim::action` runs it, a
+/// MEMADD that changes the bucket every time. The flat reference's
+/// `update` is a `read` then a `write`, the packet path before paging.
+fn salu_rmw_ns() -> (f64, f64) {
+    let instr = SaluInstr {
+        cond: SaluCond::Always,
+        update_true: Some(SaluExpr::MemPlusOp),
+        update_false: None,
+        output: SaluOutput::NewMem,
+    };
+    let mut x = 0x9e37_79b9_u32;
+    let addrs: Vec<u32> = (0..SALU_STREAM)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x % SALU_BUCKETS as u32
+        })
+        .collect();
+    let mut paged = RegArray::new("paged", SALU_BUCKETS);
+    let mut flat = FlatRegArray::new("flat", SALU_BUCKETS);
+    let mut i = 0;
+    macro_rules! rmw {
+        ($array:expr) => {
+            time_ns(|| {
+                i = (i + 1) % addrs.len();
+                let mut out = None;
+                let rmw = $array.update(black_box(addrs[i]), |mem| {
+                    let (new_mem, o) = instr.execute(mem, 1);
+                    out = o;
+                    new_mem
+                });
+                black_box((rmw.unwrap(), out));
+            })
+        };
+    }
+    ab_min(3, |paged_side| if paged_side { rmw!(paged) } else { rmw!(flat) })
+}
+
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -214,6 +265,16 @@ fn main() {
             })
         }
     });
+
+    println!("measuring salu_rmw (paged vs flat register SRAM, interleaved) ...");
+    let (salu_paged, salu_flat) = salu_rmw_ns();
+    let salu_ratio = salu_paged / salu_flat;
+    println!("  {salu_paged:.2} ns paged vs {salu_flat:.2} ns flat ({salu_ratio:.3}x)");
+    assert!(
+        salu_ratio <= SALU_MAX_RATIO,
+        "paged SALU read-modify-write costs {salu_paged:.2} ns vs {salu_flat:.2} ns flat \
+         in the same run ({salu_ratio:.3}x, bound {SALU_MAX_RATIO}x)"
+    );
 
     println!("measuring flight-recorder overhead ...");
     // With no ring attached, tracing is a `None` branch on the same code
@@ -510,6 +571,17 @@ fn main() {
                         ("ternary_path_speedup", Value::F64(round3(ternary_path_speedup))),
                     ]),
                 ),
+            ]),
+        ),
+        (
+            "salu_rmw",
+            obj(vec![
+                ("buckets", Value::U64(SALU_BUCKETS as u64)),
+                ("addresses", Value::U64(SALU_STREAM as u64)),
+                ("paged_ns", Value::F64(round3(salu_paged))),
+                ("flat_ns", Value::F64(round3(salu_flat))),
+                ("ratio", Value::F64(round3(salu_ratio))),
+                ("max_ratio", Value::F64(SALU_MAX_RATIO)),
             ]),
         ),
         ("table_lookup", Value::Array(lookups)),

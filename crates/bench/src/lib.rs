@@ -65,7 +65,7 @@ pub fn run_deploy_stream(
         let src = workload.program(epoch, rng.random::<u32>() as usize, params);
         let ok = ctl.deploy(&src).is_ok();
         let gauges = p4rp_ctl::ResourceGauges::collect(ctl.resources());
-        let span = ctl.lifecycle_spans().last().filter(|_| ok);
+        let span = ctl.lifecycle_spans().back().filter(|_| ok);
         let rec = EpochRecord {
             epoch,
             alloc_ms: span.map_or(0.0, |s| s.solver_wall_ns as f64 / 1e6),

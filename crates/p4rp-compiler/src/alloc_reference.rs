@@ -3,8 +3,8 @@
 //! pruning beyond the `x_L` bound.
 //!
 //! [`crate::alloc`] now solves the same model with interned memory ids, a
-//! suffix-capacity prune, free-slot dominance, and memoized infeasible
-//! frontiers. This module is kept as the semantic authority: the
+//! suffix-capacity prune, free-slot dominance, and a look-ahead bound on
+//! each level's index. This module is kept as the semantic authority: the
 //! `alloc_equivalence` proptest suite checks the fast solver against it
 //! (same feasibility verdict, no-worse `x_L`), and `bench_controlplane`
 //! uses it as the "before" measurement. Select it with

@@ -13,7 +13,7 @@
 use crate::resman::ResourceManager;
 use crate::telemetry::{
     FaultStats, LifecycleSpan, ParallelStats, ProgramUsage, ResourceGauges, SeriesRing,
-    ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION,
+    ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION, SPAN_LOG_CAPACITY,
 };
 use p4rp_compiler::alloc::{allocate, AllocConfig, Allocation};
 use p4rp_compiler::consistency::{plan_install, plan_remove, Batch, InstalledHandles};
@@ -31,7 +31,7 @@ use rmt_sim::switch::{ControlOp, OpResult, ProcessOutcome, Switch, SwitchConfig,
 use rmt_sim::table::{EntryHandle, TableEntry};
 use rmt_sim::telemetry::{MetricsRecorder, ProgramMetrics};
 use rmt_sim::trace::{LifecycleKind, SloKind, TraceBuffer, TraceConfig, TraceStats};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How many times a transient channel fault (timeout, drop) is retried
@@ -246,7 +246,10 @@ pub struct Controller {
     /// Telemetry epoch: bumped at every lifecycle event that mutates the
     /// data plane, mirrored into the switch's recorder when enabled.
     epoch: u64,
-    spans: Vec<LifecycleSpan>,
+    /// The latest [`SPAN_LOG_CAPACITY`] lifecycle spans, oldest first.
+    spans: VecDeque<LifecycleSpan>,
+    /// Spans evicted from the front of `spans`.
+    spans_dropped: u64,
     /// Opt-in deploy fast path for `deploy` / `revoke`: vectored
     /// (single-batch, marginal-cost) channel application. Off by default
     /// so the Table 1 / Figure 13 per-op latency reproductions keep their
@@ -321,7 +324,8 @@ impl Controller {
             alloc_cfg,
             check_ctx,
             epoch: 0,
-            spans: Vec::new(),
+            spans: VecDeque::new(),
+            spans_dropped: 0,
             fast_path: false,
             entry_cache: EntryGenCache::default(),
             wedged: HashMap::new(),
@@ -644,9 +648,27 @@ impl Controller {
         self.switch.trace_stats()
     }
 
-    /// Every lifecycle span recorded so far, oldest first.
-    pub fn lifecycle_spans(&self) -> &[LifecycleSpan] {
+    /// The latest [`SPAN_LOG_CAPACITY`] lifecycle spans, oldest first.
+    pub fn lifecycle_spans(&self) -> &VecDeque<LifecycleSpan> {
         &self.spans
+    }
+
+    /// Lifecycle spans recorded over this controller's life, including
+    /// those evicted from the log: the next span's `seq`.
+    pub fn spans_recorded(&self) -> u64 {
+        self.spans_dropped + self.spans.len() as u64
+    }
+
+    /// Append a span, evicting the oldest once the log holds
+    /// [`SPAN_LOG_CAPACITY`], so a long-running controller's log stays
+    /// bounded.
+    fn push_span(&mut self, span: LifecycleSpan) {
+        debug_assert_eq!(span.seq, self.spans_recorded());
+        if self.spans.len() == SPAN_LOG_CAPACITY {
+            self.spans.pop_front();
+            self.spans_dropped += 1;
+        }
+        self.spans.push_back(span);
     }
 
     /// Snapshot the full telemetry report: spans + gauges + control-channel
@@ -661,7 +683,8 @@ impl Controller {
             schema_version: SCHEMA_VERSION,
             epoch: self.epoch,
             programs_deployed: self.programs.len() as u64,
-            spans: self.spans.clone(),
+            spans: self.spans.iter().cloned().collect(),
+            spans_dropped: self.spans_dropped,
             resources: ResourceGauges::collect(&self.resman),
             control_write_latency: self.channel.write_latency.clone(),
             dataplane,
@@ -1118,8 +1141,8 @@ impl Controller {
             if parked.is_none() {
                 self.refund_program(&image);
             }
-            self.spans.push(LifecycleSpan {
-                seq: self.spans.len() as u64,
+            self.push_span(LifecycleSpan {
+                seq: self.spans_recorded(),
                 kind: "deploy-fault".into(),
                 program: c.name.clone(),
                 prog_id: u64::from(prog_id),
@@ -1149,8 +1172,8 @@ impl Controller {
             t.lifecycle(LifecycleKind::Deploy, prog_id, epoch, update_delay);
         }
 
-        self.spans.push(LifecycleSpan {
-            seq: self.spans.len() as u64,
+        self.push_span(LifecycleSpan {
+            seq: self.spans_recorded(),
             kind: "deploy".into(),
             program: c.name.clone(),
             prog_id: u64::from(prog_id),
@@ -1243,8 +1266,8 @@ impl Controller {
                         pending_ops: sent.ops[sent.results.len()..].to_vec(),
                     },
                 );
-                self.spans.push(LifecycleSpan {
-                    seq: self.spans.len() as u64,
+                self.push_span(LifecycleSpan {
+                    seq: self.spans_recorded(),
                     kind: "revoke-fault".into(),
                     program: name.to_string(),
                     prog_id: u64::from(prog_id),
@@ -1279,8 +1302,8 @@ impl Controller {
             t.set_now(now);
             t.lifecycle(LifecycleKind::Revoke, installed.image.prog_id, epoch, update_delay);
         }
-        self.spans.push(LifecycleSpan {
-            seq: self.spans.len() as u64,
+        self.push_span(LifecycleSpan {
+            seq: self.spans_recorded(),
             kind: "revoke".into(),
             program: name.to_string(),
             prog_id: u64::from(installed.image.prog_id),
@@ -1366,8 +1389,8 @@ impl Controller {
             t.set_now(now);
             t.lifecycle(LifecycleKind::Revoke, prog_id, epoch, update_delay);
         }
-        self.spans.push(LifecycleSpan {
-            seq: self.spans.len() as u64,
+        self.push_span(LifecycleSpan {
+            seq: self.spans_recorded(),
             kind: "revoke".into(),
             program: name.to_string(),
             prog_id: u64::from(prog_id),

@@ -478,6 +478,7 @@ mod tests {
             epoch: 3,
             programs_deployed: 1,
             spans: Vec::new(),
+            spans_dropped: 0,
             resources: ResourceGauges::collect(&ResourceManager::new()),
             control_write_latency: h,
             dataplane: Some(dp),

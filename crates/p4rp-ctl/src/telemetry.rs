@@ -28,8 +28,15 @@ use std::collections::BTreeMap;
 /// per-program (`programs`), SLO (`slo`), and time-series (`series`)
 /// sections; version 3 added the per-table lookup-structure section
 /// (`tables`); version 4 added the runtime-control server section
-/// (`server`, see `docs/SERVER.md`).
-pub const SCHEMA_VERSION: u64 = 4;
+/// (`server`, see `docs/SERVER.md`); version 5 bounded the span log and
+/// added `spans_dropped`.
+pub const SCHEMA_VERSION: u64 = 5;
+
+/// Lifecycle spans a controller keeps: the latest this many, so a
+/// long-running control server's memory does not grow with the requests
+/// it has served. Evicted spans are counted in
+/// [`TelemetryReport::spans_dropped`]; `seq` keeps counting.
+pub const SPAN_LOG_CAPACITY: usize = 4096;
 
 /// One program lifecycle event as the controller executed it.
 ///
@@ -38,7 +45,8 @@ pub const SCHEMA_VERSION: u64 = 4;
 /// therefore emits two spans. All durations are nanoseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleSpan {
-    /// Monotonic span index within this controller.
+    /// Monotonic span index within this controller (it keeps counting
+    /// past spans evicted from the bounded log).
     pub seq: u64,
     /// `"deploy"` or `"revoke"`.
     pub kind: String,
@@ -602,8 +610,11 @@ pub struct TelemetryReport {
     pub epoch: u64,
     /// Programs currently deployed.
     pub programs_deployed: u64,
-    /// Every lifecycle event, oldest first.
+    /// The latest [`SPAN_LOG_CAPACITY`] lifecycle events, oldest first.
     pub spans: Vec<LifecycleSpan>,
+    /// Lifecycle events evicted from the bounded span log; the first
+    /// span's `seq` equals this count.
+    pub spans_dropped: u64,
     /// Resource-manager gauges at snapshot time.
     pub resources: ResourceGauges,
     /// Latency histogram over every mutating control-channel operation.
@@ -637,6 +648,7 @@ serde::impl_serde_struct!(TelemetryReport {
     epoch,
     programs_deployed,
     spans,
+    spans_dropped,
     resources,
     control_write_latency,
     dataplane,
@@ -693,6 +705,9 @@ impl TelemetryReport {
             out.push_str("lifecycle spans: none\n");
         } else {
             out.push_str("lifecycle spans:\n");
+            if self.spans_dropped > 0 {
+                out.push_str(&format!("  ({} older spans dropped)\n", self.spans_dropped));
+            }
             for s in &self.spans {
                 out.push_str("  ");
                 out.push_str(&s.render());
@@ -920,6 +935,7 @@ mod tests {
             epoch: 2,
             programs_deployed: 0,
             spans: vec![span(0, "deploy"), span(1, "revoke")],
+            spans_dropped: 0,
             resources: ResourceGauges::collect(&ResourceManager::new()),
             control_write_latency: h,
             dataplane: Some(MetricsRecorder::new()),
@@ -1036,6 +1052,7 @@ mod tests {
             epoch: 2,
             programs_deployed: 1,
             spans: vec![span(0, "deploy")],
+            spans_dropped: 0,
             resources: ResourceGauges::collect(&ResourceManager::new()),
             control_write_latency: Histogram::exponential(10_000, 2, 12),
             dataplane: None,
@@ -1070,6 +1087,7 @@ mod tests {
             epoch: 2,
             programs_deployed: 1,
             spans: Vec::new(),
+            spans_dropped: 0,
             resources: ResourceGauges::collect(&ResourceManager::new()),
             control_write_latency: Histogram::exponential(10_000, 2, 12),
             dataplane: None,
@@ -1164,6 +1182,7 @@ mod tests {
             epoch: 1,
             programs_deployed: 0,
             spans: vec![sp],
+            spans_dropped: 0,
             resources: ResourceGauges::collect(&ResourceManager::new()),
             control_write_latency: Histogram::exponential(10_000, 2, 12),
             dataplane: None,

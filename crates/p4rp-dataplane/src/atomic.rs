@@ -26,6 +26,7 @@ use rmt_sim::hash::{CrcSpec, CRC32};
 use rmt_sim::phv::{FieldId, FieldTable};
 use rmt_sim::salu::{SaluCond, SaluExpr, SaluInstr, SaluOutput};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The seven memory primitives of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -326,10 +327,11 @@ impl RpbOp {
 
 /// The pre-installed action catalogue of one RPB: the ordered action list
 /// (indices are the table's action ids) plus the reverse map entries use.
+/// The list is shared with every RPB table built from this catalogue.
 #[derive(Debug, Clone)]
 pub struct Catalogue {
     /// Actions.
-    pub actions: Vec<ActionDef>,
+    pub actions: Arc<[ActionDef]>,
     index: HashMap<AtomicAction, usize>,
 }
 
@@ -648,7 +650,7 @@ pub fn build_catalogue(ft: &FieldTable, f: &P4rpFields, ingress: bool, mem_crc: 
 
     push(AtomicAction::Nop, ActionDef::noop("nop"), &mut actions);
 
-    Catalogue { actions, index }
+    Catalogue { actions: actions.into(), index }
 }
 
 /// Build the recirculation-block action list: `[recirculate, nop]`.

@@ -12,11 +12,13 @@ use crate::fields::{self, P4rpFields};
 use crate::layout::*;
 use rmt_sim::action::{ActionDef, Operand, VliwOp};
 use rmt_sim::error::SimResult;
+use rmt_sim::hash::CrcSpec;
 use rmt_sim::pipeline::{Gress, Pipeline, StageLimits};
 use rmt_sim::resources::ChipReport;
 use rmt_sim::salu::RegArray;
 use rmt_sim::switch::{Switch, SwitchConfig, TableRef};
 use rmt_sim::table::Table;
+use std::sync::Arc;
 
 /// Handles into the provisioned data plane, used by the control plane.
 #[derive(Debug, Clone)]
@@ -25,8 +27,9 @@ pub struct Dataplane {
     pub fields: P4rpFields,
     /// Per-RPB action catalogues (index = RPB id − 1). Ingress RPBs carry
     /// the forwarding operations; each RPB's memory hash uses its stage's
-    /// CRC16 polynomial.
-    pub catalogues: Vec<Catalogue>,
+    /// CRC16 polynomial. RPBs of the same gress and polynomial share one
+    /// catalogue, and their tables share its action list.
+    pub catalogues: Vec<Arc<Catalogue>>,
     /// The unified initialization-block filtering table.
     pub init_table: TableRef,
     /// Recirc table.
@@ -42,7 +45,7 @@ impl Dataplane {
     }
 
     /// The CRC16 polynomial of an RPB's memory-addressing hash unit.
-    pub fn mem_crc(rpb: RpbId) -> rmt_sim::hash::CrcSpec {
+    pub fn mem_crc(rpb: RpbId) -> CrcSpec {
         rmt_sim::hash::HH_CRC_SET[(usize::from(rpb.0) - 1) % 4]
     }
 
@@ -53,8 +56,19 @@ pub fn provision(cfg: SwitchConfig) -> SimResult<(Switch, Dataplane)> {
     let (ft, parser, f) = fields::build()?;
     let limits = StageLimits::default();
 
-    let catalogues: Vec<Catalogue> = RpbId::all()
-        .map(|rpb| build_catalogue(&ft, &f, rpb.is_ingress(), Dataplane::mem_crc(rpb)))
+    // A catalogue depends only on (gress, memory CRC): build each
+    // distinct one once.
+    let mut built: Vec<((bool, CrcSpec), Arc<Catalogue>)> = Vec::new();
+    let catalogues: Vec<Arc<Catalogue>> = RpbId::all()
+        .map(|rpb| {
+            let key = (rpb.is_ingress(), Dataplane::mem_crc(rpb));
+            if let Some((_, cat)) = built.iter().find(|(k, _)| *k == key) {
+                return Arc::clone(cat);
+            }
+            let cat = Arc::new(build_catalogue(&ft, &f, key.0, key.1));
+            built.push((key, Arc::clone(&cat)));
+            cat
+        })
         .collect();
 
     let mut ingress = Pipeline::new(Gress::Ingress, INGRESS_STAGES, limits);
@@ -89,7 +103,7 @@ pub fn provision(cfg: SwitchConfig) -> SimResult<(Switch, Dataplane)> {
         stage.add_table(Table::new(
             format!("rpb_{}", rpb.0),
             rpb_key_spec(&f),
-            cat.actions.clone(),
+            Arc::clone(&cat.actions),
             RPB_TABLE_SIZE,
         ));
         stage.add_array(RegArray::new(format!("mem_{}", rpb.0), RPB_MEM_SIZE as usize));
@@ -126,6 +140,8 @@ pub fn provision(cfg: SwitchConfig) -> SimResult<(Switch, Dataplane)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmt_sim::switch::ControlOp;
+    use rmt_sim::resources::StageUsage;
 
     #[test]
     fn provisioning_succeeds_within_hardware_limits() {
@@ -160,6 +176,68 @@ mod tests {
         assert!(sram < 50.0, "SRAM {sram:.1}% should stay moderate");
         assert!(phv > 20.0 && phv < 90.0, "PHV {phv:.1}%");
         assert!(ltid < 50.0, "LTID {ltid:.1}%");
+    }
+
+    fn usage(
+        sram_blocks: usize,
+        tcam_blocks: usize,
+        vliw_slots: usize,
+        salus: usize,
+        hash_bits: usize,
+        ltids: usize,
+    ) -> StageUsage {
+        StageUsage { sram_blocks, tcam_blocks, vliw_slots, salus, hash_bits, ltids }
+    }
+
+    /// Shared catalogues and paged memory change what provisioning costs
+    /// the host, not what it provisions: every RPB table still holds its
+    /// own catalogue's actions, the Figure 10 report is the one the
+    /// per-RPB build produced, and a worker fork shares the action lists
+    /// and copies only register pages that were written.
+    #[test]
+    fn shared_catalogues_keep_the_provisioned_plane() {
+        let (mut sw, dp) = provision(SwitchConfig::default()).unwrap();
+        let (ft, _, f) = fields::build().unwrap();
+        for rpb in RpbId::all() {
+            let actions = &sw.table(rpb.table_ref()).unwrap().actions;
+            let fresh = build_catalogue(&ft, &f, rpb.is_ingress(), Dataplane::mem_crc(rpb));
+            assert_eq!(&actions[..], &fresh.actions[..], "RPB {} actions", rpb.0);
+            assert!(Arc::ptr_eq(actions, &dp.catalogue(rpb).actions));
+            for other in RpbId::all() {
+                let same = (rpb.is_ingress(), Dataplane::mem_crc(rpb))
+                    == (other.is_ingress(), Dataplane::mem_crc(other));
+                let theirs = &sw.table(other.table_ref()).unwrap().actions;
+                assert_eq!(Arc::ptr_eq(actions, theirs), same, "RPB {} vs {}", rpb.0, other.0);
+            }
+        }
+
+        // Figure 10 input, pinned to the numbers of the per-RPB build.
+        let mut per_stage = vec![("ingress 0".to_string(), usage(36, 0, 1, 0, 0, 1))];
+        per_stage.extend((1..=10).map(|s| (format!("ingress {s}"), usage(18, 16, 238, 1, 32, 1))));
+        per_stage.push(("ingress 11".to_string(), usage(8, 16, 3, 0, 0, 1)));
+        per_stage.extend((0..12).map(|s| (format!("egress {s}"), usage(18, 16, 232, 1, 32, 1))));
+        let expected = ChipReport {
+            phv_bits_used: 1000,
+            phv_bits_total: 4096,
+            per_stage,
+            totals: usage(440, 368, 5168, 22, 704, 24),
+            limits_total: usage(1920, 576, 5760, 96, 2496, 384),
+            active_ingress_stages: 12,
+            active_egress_stages: 12,
+        };
+        assert_eq!(dp.report, expected);
+
+        // A fork shares every action list and copies the one written page.
+        let written = RpbId(3).array_ref();
+        sw.apply_op(&ControlOp::WriteReg { array: written, addr: 4097, value: 9 }).unwrap();
+        let fork = sw.fork_worker();
+        for rpb in RpbId::all() {
+            let mine = &sw.table(rpb.table_ref()).unwrap().actions;
+            assert!(Arc::ptr_eq(mine, &fork.table(rpb.table_ref()).unwrap().actions));
+            let pages = fork.array(rpb.array_ref()).unwrap().pages_allocated();
+            assert_eq!(pages, usize::from(rpb == RpbId(3)), "RPB {} pages", rpb.0);
+        }
+        assert_eq!(fork.array(written).unwrap().read(4097).unwrap(), 9);
     }
 
     #[test]

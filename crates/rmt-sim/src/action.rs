@@ -244,13 +244,14 @@ impl ActionDef {
             let array = arrays
                 .get_mut(salu.array)
                 .ok_or_else(|| SimError::NoSuchRegArray(format!("array index {}", salu.array)))?;
-            let mem = array.read(addr)?;
+            let mut out = None;
+            let (mem, new_mem) = array.update(addr, |mem| {
+                let (new_mem, o) = instr.execute(mem, operand);
+                out = o;
+                new_mem
+            })?;
             effects.salu_read = true;
-            let (new_mem, out) = instr.execute(mem, operand);
-            if new_mem != mem {
-                array.write(addr, new_mem)?;
-                effects.salu_wrote = true;
-            }
+            effects.salu_wrote = new_mem != mem;
             if let (Some(dst), Some(v)) = (salu.output, out) {
                 writes.push((dst, u64::from(v)));
             }

@@ -72,7 +72,7 @@ pub fn table_usage(table: &Table, ft: &FieldTable) -> StageUsage {
         u.sram_blocks = (table.capacity * entry_bits).div_ceil(SRAM_BLOCK_BITS).max(1);
     }
 
-    for action in &table.actions {
+    for action in table.actions.iter() {
         u.vliw_slots += action.vliw_slots();
         if let Some(h) = &action.hash {
             u.hash_bits = u.hash_bits.max(usize::from(h.spec.width));
@@ -131,7 +131,7 @@ pub fn check_stage(stage: &Stage, ft: &FieldTable) -> SimResult<StageUsage> {
 }
 
 /// Whole-chip resource report: the Figure 10 quantity.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChipReport {
     /// Phv bits used.
     pub phv_bits_used: usize,

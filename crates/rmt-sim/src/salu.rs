@@ -16,26 +16,185 @@
 
 use crate::error::{SimError, SimResult};
 
+/// Buckets per register-SRAM page. A page is allocated on the first
+/// non-zero write into it and dropped again when a reset leaves it all
+/// zero, so an array costs host memory in proportion to the buckets
+/// programs actually use, not to its provisioned size.
+pub const PAGE_BUCKETS: usize = 1024;
+
+type Page = Box<[u32; PAGE_BUCKETS]>;
+
+fn zero_page() -> Page {
+    Box::new([0; PAGE_BUCKETS])
+}
+
 /// A stateful register array (one logical `Register<bit<32>>` instance).
+///
+/// Storage is paged (see [`PAGE_BUCKETS`]); an absent page reads as zero,
+/// so every observable behaviour — values, errors, [`RegArray::size`],
+/// `write_epoch` — is that of zero-initialised SRAM of the full size
+/// ([`FlatRegArray`] is that specification, and the equivalence proptest
+/// holds the two together).
 #[derive(Debug, Clone)]
 pub struct RegArray {
     /// Human-readable name.
     pub name: String,
-    data: Vec<u32>,
+    size: u32,
+    pages: Vec<Option<Page>>,
     /// Write epoch counter — bumped on every mutation, lets tests assert
     /// "no stateful writes happened".
     pub write_epoch: u64,
 }
 
 impl RegArray {
-    /// Construct with defaults appropriate to the type.
+    /// An all-zero array of `size` buckets; no page is allocated yet.
     pub fn new(name: impl Into<String>, size: usize) -> RegArray {
-        RegArray { name: name.into(), data: vec![0; size], write_epoch: 0 }
+        let size = u32::try_from(size).expect("register array size fits in u32");
+        let pages = (0..(size as usize).div_ceil(PAGE_BUCKETS)).map(|_| None).collect();
+        RegArray { name: name.into(), size, pages, write_epoch: 0 }
+    }
+
+    /// Size.
+    pub fn size(&self) -> u32 {
+        self.size
+    }
+
+    /// Pages currently allocated (buckets that may hold non-zero values).
+    pub fn pages_allocated(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, addr: u32) -> SimError {
+        SimError::AddrOutOfRange { array: self.name.clone(), addr, size: self.size }
+    }
+
+    /// `start + len` when the range lies inside the array.
+    fn range_end(&self, start: u32, len: u32) -> SimResult<u32> {
+        start
+            .checked_add(len)
+            .filter(|&e| e <= self.size)
+            .ok_or_else(|| self.out_of_range(start.saturating_add(len)))
+    }
+
+    /// Read.
+    pub fn read(&self, addr: u32) -> SimResult<u32> {
+        if addr >= self.size {
+            return Err(self.out_of_range(addr));
+        }
+        let a = addr as usize;
+        Ok(self.pages[a / PAGE_BUCKETS].as_ref().map_or(0, |p| p[a % PAGE_BUCKETS]))
+    }
+
+    /// Write.
+    pub fn write(&mut self, addr: u32, value: u32) -> SimResult<()> {
+        if addr >= self.size {
+            return Err(self.out_of_range(addr));
+        }
+        let a = addr as usize;
+        let slot = &mut self.pages[a / PAGE_BUCKETS];
+        // A zero written into an absent page is already there.
+        if value != 0 || slot.is_some() {
+            slot.get_or_insert_with(zero_page)[a % PAGE_BUCKETS] = value;
+        }
+        self.write_epoch += 1;
+        Ok(())
+    }
+
+    /// One SALU read-modify-write: `f` maps the bucket's value to its new
+    /// value; returns `(old, new)`. Only a change counts as a write (it
+    /// bumps `write_epoch`), exactly as a [`RegArray::read`] followed by a
+    /// [`RegArray::write`] when the value differs.
+    #[inline]
+    pub fn update(&mut self, addr: u32, f: impl FnOnce(u32) -> u32) -> SimResult<(u32, u32)> {
+        if addr >= self.size {
+            return Err(self.out_of_range(addr));
+        }
+        let a = addr as usize;
+        let slot = &mut self.pages[a / PAGE_BUCKETS];
+        let old = slot.as_ref().map_or(0, |p| p[a % PAGE_BUCKETS]);
+        let new = f(old);
+        if new != old {
+            slot.get_or_insert_with(zero_page)[a % PAGE_BUCKETS] = new;
+            self.write_epoch += 1;
+        }
+        Ok((old, new))
+    }
+
+    /// Zero a contiguous range — the control-plane memory reset used during
+    /// program termination (Figure 6, step 4). Every page the reset leaves
+    /// all zero is released.
+    pub fn reset_range(&mut self, start: u32, len: u32) -> SimResult<()> {
+        let end = self.range_end(start, len)? as usize;
+        let start = start as usize;
+        if start < end {
+            for p in start / PAGE_BUCKETS..=(end - 1) / PAGE_BUCKETS {
+                let slot = &mut self.pages[p];
+                if let Some(page) = slot {
+                    let base = p * PAGE_BUCKETS;
+                    page[start.max(base) - base..end.min(base + PAGE_BUCKETS) - base].fill(0);
+                    if page.iter().all(|&v| v == 0) {
+                        *slot = None;
+                    }
+                }
+            }
+        }
+        self.write_epoch += 1;
+        Ok(())
+    }
+
+    /// Snapshot a range (control-plane monitoring path).
+    pub fn read_range(&self, start: u32, len: u32) -> SimResult<Vec<u32>> {
+        let end = self.range_end(start, len)? as usize;
+        let mut out = Vec::with_capacity(end - start as usize);
+        let mut a = start as usize;
+        while a < end {
+            let p = a / PAGE_BUCKETS;
+            let base = p * PAGE_BUCKETS;
+            let hi = end.min(base + PAGE_BUCKETS);
+            match &self.pages[p] {
+                Some(page) => out.extend_from_slice(&page[a - base..hi - base]),
+                None => out.resize(out.len() + (hi - a), 0),
+            }
+            a = hi;
+        }
+        Ok(out)
+    }
+}
+
+/// Reference model of [`RegArray`]: the zeroed flat SRAM it stands for,
+/// one `u32` per bucket. The simulator never uses it; the paged-memory
+/// equivalence proptest and the `salu_rmw` bench compare against it.
+#[derive(Debug, Clone)]
+pub struct FlatRegArray {
+    /// Human-readable name.
+    pub name: String,
+    data: Vec<u32>,
+    /// Write epoch counter, bumped exactly as [`RegArray::write_epoch`].
+    pub write_epoch: u64,
+}
+
+impl FlatRegArray {
+    /// An all-zero array of `size` buckets.
+    pub fn new(name: impl Into<String>, size: usize) -> FlatRegArray {
+        FlatRegArray { name: name.into(), data: vec![0; size], write_epoch: 0 }
     }
 
     /// Size.
     pub fn size(&self) -> u32 {
         self.data.len() as u32
+    }
+
+    fn range(&self, start: u32, len: u32) -> SimResult<std::ops::Range<usize>> {
+        let end = start.checked_add(len).filter(|&e| e <= self.size()).ok_or_else(|| {
+            SimError::AddrOutOfRange {
+                array: self.name.clone(),
+                addr: start.saturating_add(len),
+                size: self.size(),
+            }
+        })?;
+        Ok(start as usize..end as usize)
     }
 
     /// Read.
@@ -60,27 +219,27 @@ impl RegArray {
         }
     }
 
-    /// Zero a contiguous range — the control-plane memory reset used during
-    /// program termination (Figure 6, step 4).
-    pub fn reset_range(&mut self, start: u32, len: u32) -> SimResult<()> {
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= self.size())
-            .ok_or_else(|| SimError::AddrOutOfRange { array: self.name.clone(), addr: start.saturating_add(len), size: self.size() })?;
-        for slot in &mut self.data[start as usize..end as usize] {
-            *slot = 0;
+    /// One read-modify-write, as [`RegArray::update`].
+    pub fn update(&mut self, addr: u32, f: impl FnOnce(u32) -> u32) -> SimResult<(u32, u32)> {
+        let old = self.read(addr)?;
+        let new = f(old);
+        if new != old {
+            self.write(addr, new)?;
         }
+        Ok((old, new))
+    }
+
+    /// Zero a contiguous range.
+    pub fn reset_range(&mut self, start: u32, len: u32) -> SimResult<()> {
+        let r = self.range(start, len)?;
+        self.data[r].fill(0);
         self.write_epoch += 1;
         Ok(())
     }
 
-    /// Snapshot a range (control-plane monitoring path).
+    /// Snapshot a range.
     pub fn read_range(&self, start: u32, len: u32) -> SimResult<Vec<u32>> {
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= self.size())
-            .ok_or_else(|| SimError::AddrOutOfRange { array: self.name.clone(), addr: start.saturating_add(len), size: self.size() })?;
-        Ok(self.data[start as usize..end as usize].to_vec())
+        Ok(self.data[self.range(start, len)?].to_vec())
     }
 }
 
@@ -252,6 +411,29 @@ mod tests {
         assert_eq!(a.read_range(0, 8).unwrap(), vec![100, 101, 0, 0, 0, 105, 106, 107]);
         assert!(a.reset_range(6, 3).is_err());
         assert!(a.reset_range(u32::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn pages_follow_nonzero_contents() {
+        let mut a = RegArray::new("r", 3 * PAGE_BUCKETS + 5);
+        a.write(7, 0).unwrap();
+        assert_eq!(a.pages_allocated(), 0, "a zero write allocates nothing");
+        a.write(1023, 1).unwrap();
+        a.write(1024, 2).unwrap();
+        assert_eq!(a.pages_allocated(), 2);
+        // A reset straddling the boundary empties both pages.
+        a.reset_range(1000, 100).unwrap();
+        assert_eq!(a.pages_allocated(), 0);
+        a.write(3 * 1024 + 4, 9).unwrap();
+        a.write(3 * 1024 + 2, 8).unwrap();
+        a.reset_range(3 * 1024, 3).unwrap();
+        assert_eq!(a.pages_allocated(), 1, "the page still holds a non-zero bucket");
+        assert_eq!(a.read_range(3 * 1024, 5).unwrap(), vec![0, 0, 0, 0, 9]);
+        assert_eq!(a.update(3 * 1024 + 4, |m| m + 1).unwrap(), (9, 10));
+        assert_eq!(a.update(5, |m| m).unwrap(), (0, 0));
+        assert_eq!(a.pages_allocated(), 1, "an unchanged bucket allocates nothing");
+        a.reset_range(0, a.size()).unwrap();
+        assert_eq!(a.pages_allocated(), 0);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use crate::action::ActionDef;
 use crate::error::{SimError, SimResult};
 use crate::fxhash::FxHashMap;
 use crate::phv::{FieldId, Phv};
+use std::sync::Arc;
 
 /// How one key field matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,8 +365,9 @@ pub struct Table {
     pub name: String,
     /// Key.
     pub key: KeySpec,
-    /// Actions.
-    pub actions: Vec<ActionDef>,
+    /// Actions. Shared, not copied, between tables provisioned with the
+    /// same action set and between a switch and its forked workers.
+    pub actions: Arc<[ActionDef]>,
     /// Capacity.
     pub capacity: usize,
     /// Algorithmic TCAM: the table supports ternary matching but is backed
@@ -440,12 +442,17 @@ pub struct SlotLookup {
 
 impl Table {
     /// Construct with defaults appropriate to the type.
-    pub fn new(name: impl Into<String>, key: KeySpec, actions: Vec<ActionDef>, capacity: usize) -> Table {
+    pub fn new(
+        name: impl Into<String>,
+        key: KeySpec,
+        actions: impl Into<Arc<[ActionDef]>>,
+        capacity: usize,
+    ) -> Table {
         let index = Self::fresh_index(&key);
         Table {
             name: name.into(),
             key,
-            actions,
+            actions: actions.into(),
             capacity,
             atcam: false,
             default_action: None,

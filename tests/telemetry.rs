@@ -6,6 +6,7 @@
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
 use p4runpro::rmt_sim::clock::Nanos;
 use p4runpro::traffic::{synthesize, CampusParams, Replay};
+use p4runpro::p4rp_ctl::SPAN_LOG_CAPACITY;
 use p4runpro::{Controller, TelemetryReport};
 
 /// The Figure 13(a) scenario in miniature: running traffic with program
@@ -203,4 +204,32 @@ fn disabled_telemetry_records_nothing() {
     let dp = ctl.telemetry_report().dataplane.unwrap();
     assert_eq!(dp.epoch, 1);
     assert_eq!(dp.tm.forwarded.get(), 1);
+}
+
+/// A long-running controller keeps only the latest `SPAN_LOG_CAPACITY`
+/// lifecycle spans: 5,000 deploy/revoke cycles leave the log bounded, its
+/// `seq`s contiguous up to the last event, and the evicted count in
+/// `spans_dropped` of the `status --json` document.
+#[test]
+fn span_log_stays_bounded_with_contiguous_seq() {
+    const CYCLES: u64 = 5_000;
+    let mut ctl = Controller::with_defaults().unwrap();
+    let src = "program fwd(<hdr.ipv4.dst, 10.9.9.9, 0xffffffff>) { FORWARD(1); }";
+    for _ in 0..CYCLES {
+        ctl.deploy(src).unwrap();
+        ctl.revoke("fwd").unwrap();
+        assert!(ctl.lifecycle_spans().len() <= SPAN_LOG_CAPACITY);
+    }
+    let events = 2 * CYCLES;
+    let dropped = events - SPAN_LOG_CAPACITY as u64;
+    assert_eq!(ctl.spans_recorded(), events);
+    let report = ctl.telemetry_report();
+    assert_eq!(report.spans.len(), SPAN_LOG_CAPACITY);
+    assert_eq!(report.spans_dropped, dropped);
+    let seqs: Vec<u64> = report.spans.iter().map(|s| s.seq).collect();
+    assert_eq!(seqs, (dropped..events).collect::<Vec<u64>>());
+    assert_eq!(report.spans.last().unwrap().kind, "revoke");
+    assert_eq!(report.epoch, events);
+    let parsed = TelemetryReport::from_json(&report.to_json()).unwrap();
+    assert_eq!(parsed.spans_dropped, dropped);
 }
